@@ -83,15 +83,22 @@
 //! trips it (which happens iff the plan's fixpoint reaches the cap — a
 //! property of the state space, not of scheduling), the plan's stats,
 //! violation flags, blocking flag and witnessed-state bitmap are
-//! *recomputed* by a serial canonical-order sweep under the same cap and
-//! the parallel results discarded — so truncated reports are
-//! byte-identical at any thread count **and any seed** (the redo ignores
-//! the seed), at the cost of one serial pass over the capped plan.
+//! *recomputed* by rerunning the same sweep over that plan alone,
+//! serially and unseeded (`threads: 1, seed: None`), and the parallel
+//! results discarded. One worker never donates work, so the rerun
+//! follows the canonical enumeration order: truncated reports are
+//! byte-identical at any thread count **and any seed**, at the cost of
+//! one serial pass over the capped plan. The rerun is an ordinary sweep,
+//! so it honours [`CheckOptions::mem_budget`] too.
 //!
-//! Previously the sweep also stopped at the first hard violation, which
-//! left later plans unexplored while still reporting "exhaustive"; the
-//! sweep now always runs to its fixpoint and the `truncated` flag means
-//! exactly what it says.
+//! ## One DFS core
+//!
+//! The sweep worker and the witness search drive the same frame-stack
+//! loop (`drain`), generic over a small `Visit` policy that decides
+//! what happens at each reached state: the sweep claims the state in the
+//! shared fingerprint store and flags violations, the search stops at the
+//! first state exhibiting its target. Each caller gets its own compiled
+//! copy of the loop; a state's last branch takes the state, not a copy.
 //!
 //! ## External memory
 //!
@@ -108,6 +115,7 @@
 //! (stderr/bench reporting, never part of a rendered report) differ.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
@@ -214,6 +222,25 @@ struct Budgets {
     suspicions: u32,
 }
 
+impl Budgets {
+    /// The full budgets an execution starts with.
+    fn of(opts: &CheckOptions) -> Self {
+        Self {
+            faults: opts.faults,
+            recoveries: opts.recoveries,
+            drops: opts.drops,
+            suspicions: opts.suspicions,
+        }
+    }
+}
+
+/// Dedup key of a reached state: its behavioral digest mixed with the
+/// remaining budgets (the same engine state with more budget left has
+/// more futures).
+fn state_key(runner: &Runner<'_>, b: Budgets) -> u128 {
+    fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions))
+}
+
 /// One branchable scheduler action.
 #[derive(Debug, Clone)]
 enum Action {
@@ -303,7 +330,7 @@ fn dest_of(ev: &NetEvent<Wire>) -> usize {
 }
 
 /// The schedule step that delivers `ev`.
-fn step_for(ev: &NetEvent<Wire>) -> Step {
+pub(crate) fn step_for(ev: &NetEvent<Wire>) -> Step {
     match ev {
         NetEvent::Deliver { src, dst, .. } => Step::Deliver { src: *src, dst: *dst },
         NetEvent::FailureNotice { observer, crashed } => {
@@ -354,7 +381,7 @@ fn violation_bit(oracle: &str) -> u8 {
 /// One dedup entry: the deepest remaining depth the state was expanded
 /// with, plus the edge statistics recomputed at that depth (`stats_depth`
 /// guards against a shallower racing expansion publishing last).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Entry {
     best: u32,
     stats_depth: u32,
@@ -417,6 +444,7 @@ struct PlanStats {
 /// freed (folded into [`PlanStats`]) as soon as the plan's outstanding
 /// task count hits zero, so peak memory tracks the plans in flight, not
 /// the whole plan set.
+#[derive(Default)]
 struct PlanShared {
     shards: Vec<Mutex<HashMap<u128, Entry>>>,
     /// The cold tier: sorted run files the hot shards spill into when a
@@ -437,20 +465,18 @@ struct PlanShared {
     /// Some non-violating quiescent state of this plan has a blocked
     /// operational site.
     blocking: AtomicBool,
+    /// The seeder's and every worker's witnessed-state bitmaps for this
+    /// plan, OR'd (order-independent).
+    witnessed: Mutex<Witnessed>,
     folded: Mutex<Option<PlanStats>>,
 }
 
 impl PlanShared {
-    fn new(shards: usize) -> Self {
+    fn new(shards: usize, protocol: &Protocol) -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            store: RwLock::new(RunSet::new()),
-            inserted: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            cap_hit: AtomicBool::new(false),
-            violated: AtomicU8::new(0),
-            blocking: AtomicBool::new(false),
-            folded: Mutex::new(None),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            witnessed: Mutex::new(Witnessed::for_protocol(protocol)),
+            ..Self::default()
         }
     }
 
@@ -510,16 +536,13 @@ impl PlanShared {
     }
 }
 
-/// One unit of queued work: apply `action` to `runner` (already at
-/// `path`, with `depth_left`/`budgets` remaining) and exhaust the
-/// resulting subtree.
+/// One unit of queued work: a one-action frame split off some state's
+/// expansion, plus the schedule path to that state. Running it exhausts
+/// the action's subtree.
 struct Task<'a> {
     plan: usize,
-    runner: Runner<'a>,
     path: Vec<Step>,
-    depth_left: u32,
-    budgets: Budgets,
-    action: Action,
+    frame: Frame<'a>,
 }
 
 struct Shared<'a> {
@@ -807,11 +830,78 @@ struct Frame<'a> {
     runner: Runner<'a>,
     depth_left: u32,
     budgets: Budgets,
+    /// Untried actions, last first: the next branch pops off the end. A
+    /// frame leaves the stack with its last one, so this is never empty
+    /// there.
     actions: Vec<Action>,
-    next: usize,
     /// `path.len()` at this node; truncating to it re-anchors the path
     /// before each sibling branch.
     mark: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// Split the next untried action off as a one-action frame: the
+    /// starting point of a queued [`Task`].
+    fn split(&mut self) -> Frame<'a> {
+        let action = self.actions.pop().expect("frame has an untried action");
+        Frame {
+            runner: self.runner.clone(),
+            depth_left: self.depth_left,
+            budgets: self.budgets,
+            actions: vec![action],
+            mark: self.mark,
+        }
+    }
+}
+
+/// What one DFS caller does at the states the frame-stack loop reaches.
+trait Visit<'a> {
+    /// What ends the walk early: [`drain`] returns the first one found.
+    type Found;
+
+    /// The walker state the loop drives: the stepper (path and oracles)
+    /// and the frame stack.
+    fn parts(&mut self) -> (&mut Stepper<'a>, &mut Vec<Frame<'a>>);
+
+    /// Observe a reached state (the stepper's path leads to it) and push
+    /// its expansion frame if it is to be expanded.
+    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> Option<Self::Found>;
+
+    /// The recovery oracle rejected a `Recover` edge; the path ends at the
+    /// rejected step.
+    fn rejected(&mut self, detail: String) -> Option<Self::Found>;
+
+    /// Runs before each branch (the sweep donates work here).
+    fn before_branch(&mut self) {}
+}
+
+/// The frame-stack DFS loop: branch on the top frame's next untried
+/// action, popping the frame with its last one, and stop when the stack
+/// is empty or the policy finds what it looks for. Generic, so each
+/// caller gets its own compiled copy.
+fn drain<'a, V: Visit<'a>>(v: &mut V) -> Option<V::Found> {
+    loop {
+        v.before_branch();
+        let (stepper, stack) = v.parts();
+        let f = stack.last_mut()?;
+        // Re-anchor the path before each sibling branch.
+        stepper.path.truncate(f.mark);
+        let (depth_left, budgets) = (f.depth_left, f.budgets);
+        let action = f.actions.pop().expect("a stacked frame has an untried action");
+        // The last branch takes the frame's state instead of a copy.
+        let mut next = if f.actions.is_empty() {
+            stack.pop().expect("top frame").runner
+        } else {
+            f.runner.clone()
+        };
+        let found = match stepper.apply(&mut next, &action, budgets) {
+            Err(detail) => v.rejected(detail),
+            Ok(b) => v.visit(next, depth_left - action.cost(), b),
+        };
+        if found.is_some() {
+            return found;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -823,11 +913,11 @@ struct Worker<'w, 'a> {
     stepper: Stepper<'a>,
     stack: Vec<Frame<'a>>,
     plan: usize,
-    /// Witnessed-state bitmaps, one per vote plan this worker touched.
-    /// Kept per plan (not merged into the worker's oracles) so a
-    /// state-cap-truncated plan's bitmap can be replaced wholesale by the
-    /// canonical redo's.
-    wit: HashMap<usize, Witnessed>,
+    /// Witnessed-state bitmap of the current task, handed to its plan
+    /// when the task ends. Kept per plan (not merged into the worker's
+    /// oracles) so a state-cap-truncated plan's bitmap can be replaced
+    /// wholesale by the serial rerun's.
+    wit: Witnessed,
 }
 
 impl<'w, 'a> Worker<'w, 'a> {
@@ -837,17 +927,25 @@ impl<'w, 'a> Worker<'w, 'a> {
             stepper: Stepper::new(shared.protocol, shared.analysis),
             stack: Vec::new(),
             plan: 0,
-            wit: HashMap::new(),
+            wit: Witnessed::for_protocol(shared.protocol),
         }
     }
 
-    fn run(mut self) -> HashMap<usize, Witnessed> {
+    fn run(mut self) {
         while let Some(task) = self.next_task() {
-            let plan = task.plan;
-            self.run_task(task);
-            self.shared.finish_task(plan);
+            self.plan = task.plan;
+            self.stepper.path = task.path;
+            self.stack.push(task.frame);
+            drain(&mut self);
+            self.flush_witnessed();
+            self.shared.finish_task(task.plan);
         }
-        self.wit
+    }
+
+    /// OR this worker's bitmap into the current plan's and start afresh.
+    fn flush_witnessed(&mut self) {
+        let wit = std::mem::replace(&mut self.wit, Witnessed::for_protocol(self.shared.protocol));
+        self.shared.plan_shared[self.plan].witnessed.lock().expect("wit poisoned").merge(&wit);
     }
 
     fn next_task(&self) -> Option<Task<'a>> {
@@ -865,125 +963,78 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
     }
 
-    fn run_task(&mut self, task: Task<'a>) {
-        self.plan = task.plan;
-        self.stepper.path = task.path;
-        let mut runner = task.runner;
-        let cost = task.action.cost();
-        match self.stepper.apply(&mut runner, &task.action, task.budgets) {
-            Err(_) => {
-                self.flag_violation("recovery");
-            }
-            Ok(b2) => {
-                self.visit(runner, task.depth_left - cost, b2);
-                self.drain_stack();
-            }
-        }
-        self.stepper.path.clear();
-        self.stack.clear();
-    }
-
     fn flag_violation(&self, oracle: &str) {
         self.shared.plan_shared[self.plan]
             .violated
             .fetch_or(violation_bit(oracle), Ordering::AcqRel);
     }
+}
 
-    /// Exhaust the explicit DFS stack, donating the shallowest untried
-    /// branch whenever another worker is starved.
-    fn drain_stack(&mut self) {
-        loop {
-            self.maybe_donate();
-            let step = {
-                let Some(f) = self.stack.last_mut() else { break };
-                if f.next >= f.actions.len() {
-                    None
-                } else {
-                    // Re-anchor the path before each sibling branch.
-                    self.stepper.path.truncate(f.mark);
-                    let action = f.actions[f.next].clone();
-                    f.next += 1;
-                    Some((action, f.depth_left, f.budgets, f.runner.clone()))
-                }
-            };
-            match step {
-                None => {
-                    let f = self.stack.pop().expect("checked non-empty");
-                    self.stepper.path.truncate(f.mark);
-                }
-                Some((action, depth_left, budgets, mut next)) => {
-                    let cost = action.cost();
-                    match self.stepper.apply(&mut next, &action, budgets) {
-                        Err(_) => self.flag_violation("recovery"),
-                        Ok(b2) => self.visit(next, depth_left - cost, b2),
-                    }
-                }
-            }
-        }
+impl<'a> Visit<'a> for Worker<'_, 'a> {
+    /// The sweep never stops early: it runs to the plan's fixpoint.
+    type Found = Infallible;
+
+    fn parts(&mut self) -> (&mut Stepper<'a>, &mut Vec<Frame<'a>>) {
+        (&mut self.stepper, &mut self.stack)
+    }
+
+    fn rejected(&mut self, _detail: String) -> Option<Infallible> {
+        self.flag_violation("recovery");
+        None
     }
 
     /// Hand the shallowest untried branch of this stack to an idle worker
     /// as a fresh task. Donation only reorders the traversal, which no
     /// reported quantity depends on.
-    fn maybe_donate(&mut self) {
+    fn before_branch(&mut self) {
         if self.shared.idle.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let top = self.stack.len().wrapping_sub(1);
-        for (i, f) in self.stack.iter_mut().enumerate() {
-            if f.next >= f.actions.len() {
-                continue;
-            }
-            if i == top && f.actions.len() - f.next <= 1 {
-                // Keep the last branch of the top frame for ourselves —
-                // donating it would just move this worker to the queue.
-                return;
-            }
-            let action = f.actions[f.next].clone();
-            f.next += 1;
-            let task = Task {
-                plan: self.plan,
-                runner: f.runner.clone(),
-                path: self.stepper.path[..f.mark].to_vec(),
-                depth_left: f.depth_left,
-                budgets: f.budgets,
-                action,
-            };
-            let ps = &self.shared.plan_shared[self.plan];
-            ps.pending.fetch_add(1, Ordering::AcqRel);
-            self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-            self.shared.queue.lock().expect("queue poisoned").push_back(task);
-            self.shared.available.notify_one();
+        // Every stacked frame has an untried action, so the bottom one
+        // holds the shallowest.
+        let top_only = self.stack.len() == 1;
+        let Some(f) = self.stack.first_mut() else { return };
+        if top_only && f.actions.len() == 1 {
+            // Keep the last branch of the top frame for ourselves —
+            // donating it would just move this worker to the queue.
             return;
         }
+        let task =
+            Task { plan: self.plan, path: self.stepper.path[..f.mark].to_vec(), frame: f.split() };
+        if f.actions.is_empty() {
+            self.stack.remove(0);
+        }
+        let ps = &self.shared.plan_shared[self.plan];
+        ps.pending.fetch_add(1, Ordering::AcqRel);
+        self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
+        self.shared.queue.lock().expect("queue poisoned").push_back(task);
+        self.shared.available.notify_one();
     }
 
     /// Observe one reached state, claim it in the plan's fingerprint
     /// store (hot tier, spilled runs consulted on a hot miss), and push
     /// its expansion frame if it survived dedup and the caps.
-    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) {
+    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> Option<Infallible> {
         let ps = &self.shared.plan_shared[self.plan];
-        let wit = self
-            .wit
-            .entry(self.plan)
-            .or_insert_with(|| Witnessed::for_protocol(self.shared.protocol));
-        if let Err((oracle, _detail)) = self.stepper.oracles.observe_state_in(wit, &runner) {
+        if let Err((oracle, _detail)) =
+            self.stepper.oracles.observe_state_in(&mut self.wit, &runner)
+        {
             // Violating states are never expanded (and never counted);
             // the canonical search re-derives the witness path.
             self.flag_violation(oracle);
-            return;
+            return None;
         }
         if runner.net_quiescent() && !Oracles::blocked_sites(&runner).is_empty() {
             ps.blocking.store(true, Ordering::Release);
         }
 
         let budget = self.shared.opts.mem_budget;
-        let fp = fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions));
+        let fp = state_key(&runner, b);
         let shard = &ps.shards[(fp as usize) & self.shared.shard_mask];
         {
             let mut map = shard.lock().expect("shard poisoned");
             let hot = match map.get(&fp) {
-                Some(e) if e.best >= depth_left => return,
+                Some(e) if e.best >= depth_left => return None,
                 Some(_) => true,
                 None => false,
             };
@@ -992,7 +1043,7 @@ impl<'w, 'a> Worker<'w, 'a> {
             // note on `PlanShared::store`.
             let mut carried: Option<Entry> = None;
             if !hot && budget > 0 {
-                let spilled = self.shared.plan_shared[self.plan]
+                let spilled = ps
                     .store
                     .read()
                     .expect("store poisoned")
@@ -1001,14 +1052,14 @@ impl<'w, 'a> Worker<'w, 'a> {
                 if let Some(payload) = spilled {
                     let e = decode_entry(&payload);
                     if e.best >= depth_left {
-                        return;
+                        return None;
                     }
                     carried = Some(e);
                 }
             }
             if ps.inserted.load(Ordering::Relaxed) >= self.shared.opts.max_states {
                 ps.cap_hit.store(true, Ordering::Release);
-                return;
+                return None;
             }
             if hot {
                 map.get_mut(&fp).expect("hot entry just probed").best = depth_left;
@@ -1023,16 +1074,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                         map.insert(fp, e);
                     }
                     None => {
-                        map.insert(
-                            fp,
-                            Entry {
-                                best: depth_left,
-                                stats_depth: 0,
-                                edges: 0,
-                                fused: false,
-                                cut: false,
-                            },
-                        );
+                        map.insert(fp, Entry { best: depth_left, ..Entry::default() });
                         ps.inserted.fetch_add(1, Ordering::Relaxed);
                         self.shared.distinct.fetch_add(1, Ordering::Relaxed);
                     }
@@ -1044,12 +1086,9 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
 
         let mut actions = self.stepper.enumerate(&runner, b);
-        if let Some(seed) = self.shared.opts.seed {
-            if actions.len() > 1 {
-                let rot = fingerprint128(&(seed, runner.digest(), depth_left)) as usize;
-                let len = actions.len();
-                actions.rotate_left(rot % len);
-            }
+        if let Some(seed) = self.shared.opts.seed.filter(|_| actions.len() > 1) {
+            let rot = fingerprint128(&(seed, runner.digest(), depth_left)) as usize % actions.len();
+            actions.rotate_left(rot);
         }
         // Edge stats at *this* depth; published under the stats_depth
         // guard so the deepest expansion's numbers win whatever order the
@@ -1098,17 +1137,15 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
         self.progress_tick();
         if !actions.is_empty() {
-            self.stack.push(Frame {
-                mark: self.stepper.path.len(),
-                runner,
-                depth_left,
-                budgets: b,
-                actions,
-                next: 0,
-            });
+            actions.reverse();
+            let mark = self.stepper.path.len();
+            self.stack.push(Frame { runner, depth_left, budgets: b, actions, mark });
         }
+        None
     }
+}
 
+impl Worker<'_, '_> {
     /// Drain the current plan's hot shards into one sorted run. All shard
     /// locks are taken in index order before the store write lock (see
     /// the lock-order note on `PlanShared::store`); racing spillers
@@ -1150,6 +1187,106 @@ impl<'w, 'a> Worker<'w, 'a> {
     }
 }
 
+/// One plan's results from a [`sweep`].
+struct PlanResult {
+    stats: PlanStats,
+    /// OR of [`violation_bit`]s over the plan's visited states.
+    violated: u8,
+    /// Some non-violating quiescent state of the plan has a blocked
+    /// operational site.
+    blocking: bool,
+    witnessed: Witnessed,
+    /// The plan's fixpoint holds at least `max_states` states, so which
+    /// states fell inside the cap depended on scheduling (see phase 1b in
+    /// [`explore`]).
+    capped: bool,
+}
+
+/// Explore every plan of `plans` to its fixpoint under `opts`, fanning
+/// the subtrees out over `opts.threads` workers. `opts.vote_plan` is not
+/// consulted: `plans` is the plan list.
+fn sweep<'a>(
+    protocol: &'a Protocol,
+    analysis: &'a Analysis,
+    opts: &CheckOptions,
+    plans: &[Vec<bool>],
+) -> Vec<PlanResult> {
+    let threads = resolved_threads(opts.threads);
+    let shards = (threads * 4).next_power_of_two().min(64);
+    let shared = Shared {
+        protocol,
+        analysis,
+        opts: opts.clone(),
+        shard_mask: shards - 1,
+        plan_shared: (0..plans.len()).map(|_| PlanShared::new(shards, protocol)).collect(),
+        queue: Mutex::new(VecDeque::new()),
+        available: Condvar::new(),
+        idle: AtomicUsize::new(0),
+        outstanding: AtomicUsize::new(0),
+        done: AtomicBool::new(false),
+        plans_done: AtomicUsize::new(0),
+        distinct: AtomicUsize::new(0),
+        expansions: AtomicU64::new(0),
+        hot_bytes: AtomicUsize::new(0),
+        spill_runs: AtomicU64::new(0),
+    };
+
+    // Seed: expand each plan's root on this thread (observing it and
+    // claiming it in the plan's map), then queue one task per root
+    // action. The seeder reuses the worker machinery, so root handling
+    // and inner-node handling cannot drift apart.
+    let mut seeder = Worker::new(&shared);
+    {
+        let mut queue = shared.queue.lock().expect("queue poisoned");
+        for (idx, votes) in plans.iter().enumerate() {
+            seeder.plan = idx;
+            let config = plan_config(protocol.n_sites(), votes, opts.rule);
+            seeder.visit(Runner::new(protocol, analysis, config), opts.depth, Budgets::of(opts));
+            seeder.flush_witnessed();
+            match seeder.stack.pop() {
+                Some(mut f) => {
+                    let k = f.actions.len();
+                    shared.plan_shared[idx].pending.store(k, Ordering::Release);
+                    shared.outstanding.fetch_add(k, Ordering::AcqRel);
+                    while !f.actions.is_empty() {
+                        queue.push_back(Task { plan: idx, path: Vec::new(), frame: f.split() });
+                    }
+                }
+                // Root is terminal (or violating): the plan is already
+                // fully explored.
+                None => {
+                    shared.plan_shared[idx].fold(&shared.hot_bytes);
+                    shared.plans_done.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        if shared.outstanding.load(Ordering::Acquire) == 0 {
+            shared.done.store(true, Ordering::Release);
+        }
+    }
+
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| Worker::new(&shared).run());
+        }
+    });
+
+    shared
+        .plan_shared
+        .into_iter()
+        .map(|ps| PlanResult {
+            // `cap_hit` covers every schedule that tripped the cap, and
+            // the `inserted` test the knife-edge fixpoint == max_states
+            // schedules that filled the map without tripping it.
+            capped: ps.cap_hit.into_inner() || ps.inserted.into_inner() >= opts.max_states,
+            stats: ps.folded.into_inner().expect("fold poisoned").expect("plan not folded"),
+            violated: ps.violated.into_inner(),
+            blocking: ps.blocking.into_inner(),
+            witnessed: ps.witnessed.into_inner().expect("wit poisoned"),
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Phase 2: the canonical witness search
 // ---------------------------------------------------------------------
@@ -1168,19 +1305,26 @@ enum Target {
 /// guaranteed to yield a witness here — unless the `max_states` valve
 /// truncated the sweep, in which case this search gives up at the same
 /// cap and returns `None`.
-struct Search<'a, 'o> {
+struct Search<'a> {
     stepper: Stepper<'a>,
-    seen: HashMap<u128, u32>,
     stack: Vec<Frame<'a>>,
-    opts: &'o CheckOptions,
+    seen: HashMap<u128, u32>,
+    max_states: usize,
     target: Target,
 }
 
-type WitnessFound = Option<(&'static str, String, Vec<Step>)>;
+/// A canonical witness: `(oracle, detail, path)` (oracle and detail are
+/// empty for a blocking witness).
+type Witness = (&'static str, String, Vec<Step>);
 
-impl<'a> Search<'a, '_> {
-    /// Shared visit logic for the root and every expanded child.
-    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> WitnessFound {
+impl<'a> Visit<'a> for Search<'a> {
+    type Found = Witness;
+
+    fn parts(&mut self) -> (&mut Stepper<'a>, &mut Vec<Frame<'a>>) {
+        (&mut self.stepper, &mut self.stack)
+    }
+
+    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> Option<Witness> {
         if let Err((oracle, detail)) = self.stepper.oracles.observe_state(&runner) {
             return match self.target {
                 Target::Violation => Some((oracle, detail, self.stepper.path.clone())),
@@ -1195,251 +1339,44 @@ impl<'a> Search<'a, '_> {
         {
             return Some(("", String::new(), self.stepper.path.clone()));
         }
-        let fp = fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions));
-        if let Some(&best) = self.seen.get(&fp) {
-            if best >= depth_left {
-                return None;
-            }
-        }
-        if self.seen.len() >= self.opts.max_states {
+        let fp = state_key(&runner, b);
+        if self.seen.get(&fp).is_some_and(|&best| best >= depth_left)
+            || self.seen.len() >= self.max_states
+        {
             return None;
         }
         self.seen.insert(fp, depth_left);
         let mut actions = self.stepper.enumerate(&runner, b);
         actions.retain(|a| a.cost() <= depth_left);
         if !actions.is_empty() {
-            self.stack.push(Frame {
-                mark: self.stepper.path.len(),
-                runner,
-                depth_left,
-                budgets: b,
-                actions,
-                next: 0,
-            });
+            actions.reverse();
+            let mark = self.stepper.path.len();
+            self.stack.push(Frame { runner, depth_left, budgets: b, actions, mark });
         }
         None
     }
 
-    fn run(&mut self, root: Runner<'a>, depth: u32, budgets: Budgets) -> WitnessFound {
-        if let Some(w) = self.visit(root, depth, budgets) {
-            return Some(w);
-        }
-        loop {
-            let step = {
-                let f = self.stack.last_mut()?;
-                if f.next >= f.actions.len() {
-                    None
-                } else {
-                    self.stepper.path.truncate(f.mark);
-                    let action = f.actions[f.next].clone();
-                    f.next += 1;
-                    Some((action, f.depth_left, f.budgets, f.runner.clone()))
-                }
-            };
-            match step {
-                None => {
-                    let f = self.stack.pop().expect("checked non-empty");
-                    self.stepper.path.truncate(f.mark);
-                }
-                Some((action, depth_left, budgets, mut next)) => {
-                    let cost = action.cost();
-                    match self.stepper.apply(&mut next, &action, budgets) {
-                        Err(detail) => {
-                            if self.target == Target::Violation {
-                                return Some(("recovery", detail, self.stepper.path.clone()));
-                            }
-                        }
-                        Ok(b2) => {
-                            if let Some(w) = self.visit(next, depth_left - cost, b2) {
-                                return Some(w);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    fn rejected(&mut self, detail: String) -> Option<Witness> {
+        (self.target == Target::Violation).then(|| ("recovery", detail, self.stepper.path.clone()))
     }
 }
 
-fn canonical_witness<'a>(
-    protocol: &'a Protocol,
-    analysis: &'a Analysis,
+fn canonical_witness(
+    protocol: &Protocol,
+    analysis: &Analysis,
     opts: &CheckOptions,
     votes: &[bool],
     target: Target,
-) -> WitnessFound {
-    let budgets = Budgets {
-        faults: opts.faults,
-        recoveries: opts.recoveries,
-        drops: opts.drops,
-        suspicions: opts.suspicions,
-    };
+) -> Option<Witness> {
     let root = Runner::new(protocol, analysis, plan_config(protocol.n_sites(), votes, opts.rule));
     let mut search = Search {
         stepper: Stepper::new(protocol, analysis),
-        seen: HashMap::new(),
         stack: Vec::new(),
-        opts,
+        seen: HashMap::new(),
+        max_states: opts.max_states,
         target,
     };
-    search.run(root, opts.depth, budgets)
-}
-
-// ---------------------------------------------------------------------
-// Phase 1b: canonical redo of state-cap-truncated plans
-// ---------------------------------------------------------------------
-
-/// Serial canonical-order re-exploration of one vote plan under the same
-/// `max_states` cap — the deterministic replacement for a plan whose
-/// parallel sweep tripped (or filled) the cap. Mirrors `Worker::visit`
-/// exactly (prune → cap → insert/update, stats at the deepest
-/// expansion, violating states never expanded) minus the sharing and
-/// minus the seed rotation, so its results depend only on (protocol,
-/// options) — never on thread count or seed. The dedup map is held in
-/// RAM: it is bounded by `max_states` entries, the same bound the sweep's
-/// hot+cold tiers enforced together.
-struct Redo<'a> {
-    stepper: Stepper<'a>,
-    map: HashMap<u128, Entry>,
-    stack: Vec<Frame<'a>>,
-    max_states: usize,
-    cap_hit: bool,
-    violated: u8,
-    blocking: bool,
-    wit: Witnessed,
-}
-
-impl<'a> Redo<'a> {
-    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) {
-        if let Err((oracle, _detail)) =
-            self.stepper.oracles.observe_state_in(&mut self.wit, &runner)
-        {
-            self.violated |= violation_bit(oracle);
-            return;
-        }
-        if runner.net_quiescent() && !Oracles::blocked_sites(&runner).is_empty() {
-            self.blocking = true;
-        }
-        let fp = fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions));
-        let known = match self.map.get(&fp) {
-            Some(e) if e.best >= depth_left => return,
-            Some(_) => true,
-            None => false,
-        };
-        if self.map.len() >= self.max_states {
-            self.cap_hit = true;
-            return;
-        }
-        if known {
-            self.map.get_mut(&fp).expect("entry just probed").best = depth_left;
-        } else {
-            self.map.insert(
-                fp,
-                Entry { best: depth_left, stats_depth: 0, edges: 0, fused: false, cut: false },
-            );
-        }
-        // Canonical enumeration order — deliberately no seed rotation, so
-        // a truncated report is also independent of `--seed`.
-        let mut actions = self.stepper.enumerate(&runner, b);
-        let mut edges = 0u32;
-        let mut fused = false;
-        let mut cut = false;
-        actions.retain(|a| {
-            if a.cost() <= depth_left {
-                edges += 1;
-                fused |= matches!(a, Action::Fuse(_));
-                true
-            } else {
-                cut = true;
-                false
-            }
-        });
-        let e = self.map.get_mut(&fp).expect("entry just claimed");
-        if depth_left >= e.stats_depth {
-            e.stats_depth = depth_left;
-            e.edges = edges;
-            e.fused = fused;
-            e.cut = cut;
-        }
-        if !actions.is_empty() {
-            self.stack.push(Frame {
-                mark: self.stepper.path.len(),
-                runner,
-                depth_left,
-                budgets: b,
-                actions,
-                next: 0,
-            });
-        }
-    }
-
-    fn drain(&mut self) {
-        loop {
-            let step = {
-                let Some(f) = self.stack.last_mut() else { break };
-                if f.next >= f.actions.len() {
-                    None
-                } else {
-                    self.stepper.path.truncate(f.mark);
-                    let action = f.actions[f.next].clone();
-                    f.next += 1;
-                    Some((action, f.depth_left, f.budgets, f.runner.clone()))
-                }
-            };
-            match step {
-                None => {
-                    let f = self.stack.pop().expect("checked non-empty");
-                    self.stepper.path.truncate(f.mark);
-                }
-                Some((action, depth_left, budgets, mut next)) => {
-                    let cost = action.cost();
-                    match self.stepper.apply(&mut next, &action, budgets) {
-                        Err(_) => self.violated |= V_RECOVERY,
-                        Ok(b2) => self.visit(next, depth_left - cost, b2),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Run the canonical capped sweep for one plan, returning its
-/// deterministic `(stats, violated bits, blocking flag, witnessed
-/// bitmap)` — everything the parallel sweep produced
-/// scheduling-dependently once the cap was in play.
-fn canonical_capped_sweep<'a>(
-    protocol: &'a Protocol,
-    analysis: &'a Analysis,
-    opts: &CheckOptions,
-    votes: &[bool],
-) -> (PlanStats, u8, bool, Witnessed) {
-    let budgets = Budgets {
-        faults: opts.faults,
-        recoveries: opts.recoveries,
-        drops: opts.drops,
-        suspicions: opts.suspicions,
-    };
-    let root = Runner::new(protocol, analysis, plan_config(protocol.n_sites(), votes, opts.rule));
-    let mut redo = Redo {
-        stepper: Stepper::new(protocol, analysis),
-        map: HashMap::new(),
-        stack: Vec::new(),
-        max_states: opts.max_states,
-        cap_hit: false,
-        violated: 0,
-        blocking: false,
-        wit: Witnessed::for_protocol(protocol),
-    };
-    redo.visit(root, opts.depth, budgets);
-    redo.drain();
-    let mut stats = PlanStats { cut: redo.cap_hit, ..Default::default() };
-    for e in redo.map.values() {
-        stats.distinct += 1;
-        stats.edges += u64::from(e.edges);
-        stats.fused += u64::from(e.fused);
-        stats.cut |= e.cut;
-    }
-    (stats, redo.violated, redo.blocking, redo.wit)
+    search.visit(root, opts.depth, Budgets::of(opts)).or_else(|| drain(&mut search))
 }
 
 // ---------------------------------------------------------------------
@@ -1471,174 +1408,73 @@ pub fn explore<'a>(
         }
     };
 
-    let threads = resolved_threads(opts.threads);
-    let shards = (threads * 4).next_power_of_two().min(64);
-    let shared = Shared {
-        protocol,
-        analysis,
-        opts: opts.clone(),
-        shard_mask: shards - 1,
-        plan_shared: (0..plans.len()).map(|_| PlanShared::new(shards)).collect(),
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        idle: AtomicUsize::new(0),
-        outstanding: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
-        plans_done: AtomicUsize::new(0),
-        distinct: AtomicUsize::new(0),
-        expansions: AtomicU64::new(0),
-        hot_bytes: AtomicUsize::new(0),
-        spill_runs: AtomicU64::new(0),
-    };
-    let budgets = Budgets {
-        faults: opts.faults,
-        recoveries: opts.recoveries,
-        drops: opts.drops,
-        suspicions: opts.suspicions,
-    };
+    let mut results = sweep(protocol, analysis, opts, &plans);
 
-    // Seed: expand each plan's root on this thread (observing it and
-    // claiming it in the plan's map), then queue one task per root
-    // action. The seeder reuses the worker machinery, so root handling
-    // and inner-node handling cannot drift apart.
-    let mut seeder = Worker::new(&shared);
-    {
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        for (idx, votes) in plans.iter().enumerate() {
-            seeder.plan = idx;
-            let root = Runner::new(protocol, analysis, plan_config(n, votes, opts.rule));
-            seeder.visit(root, opts.depth, budgets);
-            match seeder.stack.pop() {
-                Some(f) => {
-                    let k = f.actions.len();
-                    shared.plan_shared[idx].pending.store(k, Ordering::Release);
-                    shared.outstanding.fetch_add(k, Ordering::AcqRel);
-                    for action in f.actions {
-                        queue.push_back(Task {
-                            plan: idx,
-                            runner: f.runner.clone(),
-                            path: Vec::new(),
-                            depth_left: f.depth_left,
-                            budgets: f.budgets,
-                            action,
-                        });
-                    }
-                }
-                // Root is terminal (or violating): the plan is already
-                // fully explored.
-                None => {
-                    shared.plan_shared[idx].fold(&shared.hot_bytes);
-                    shared.plans_done.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            seeder.stack.clear();
-            seeder.stepper.path.clear();
-        }
-        if shared.outstanding.load(Ordering::Acquire) == 0 {
-            shared.done.store(true, Ordering::Release);
-        }
-    }
-    let seeder_wit = seeder.wit;
-    let mut oracles = seeder.stepper.oracles;
-
-    let worker_wits: Vec<HashMap<usize, Witnessed>> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            (0..threads).map(|_| s.spawn(|| Worker::new(&shared).run())).collect();
-        handles.into_iter().map(|h| h.join().expect("explorer worker panicked")).collect()
-    });
-
-    // Per-plan witnessed bitmaps: the seeder's and every worker's
-    // contributions, OR'd (order-independent).
-    let mut plan_wit: Vec<Witnessed> =
-        plans.iter().map(|_| Witnessed::for_protocol(protocol)).collect();
-    for (idx, w) in &seeder_wit {
-        plan_wit[*idx].merge(w);
-    }
-    for m in &worker_wits {
-        for (idx, w) in m {
-            plan_wit[*idx].merge(w);
+    // Phase 1b: every plan within the state cap's reach is swept again,
+    // alone, serially and unseeded — one worker never donates, so the
+    // rerun follows the canonical enumeration order — and its
+    // scheduling-dependent results (stats, violated/blocking flags,
+    // witnessed bitmap) replace the first sweep's wholesale. The trigger
+    // (the plan's fixpoint holds at least `max_states` states) is a
+    // property of (protocol, options), not of the schedule, so *whether*
+    // a rerun happens is itself deterministic. The first sweep's spill
+    // stats are kept: they describe the run the caller asked for.
+    let serial = CheckOptions { threads: 1, seed: None, ..opts.clone() };
+    for (votes, result) in plans.iter().zip(&mut results) {
+        if result.capped {
+            let spill = result.stats.spill;
+            *result = sweep(protocol, analysis, &serial, std::slice::from_ref(votes))
+                .pop()
+                .expect("one plan swept");
+            result.stats.spill = spill;
         }
     }
 
-    // Phase 1b: every plan within the state cap's reach is redone
-    // serially in canonical order, and its scheduling-dependent results
-    // (stats, violated/blocking flags, witnessed bitmap) are replaced
-    // wholesale. The trigger — the plan's fixpoint holds at least
-    // `max_states` states — is a property of (protocol, options), not of
-    // the schedule, so *whether* a redo runs is itself deterministic:
-    // `cap_hit` covers every schedule that tripped the cap, and the
-    // `inserted` test covers the knife-edge fixpoint == max_states
-    // schedules that filled the map without tripping it.
-    for (idx, ps) in shared.plan_shared.iter().enumerate() {
-        let capped = ps.cap_hit.load(Ordering::Acquire)
-            || ps.inserted.load(Ordering::Acquire) >= opts.max_states;
-        if !capped {
-            continue;
-        }
-        let (redo_stats, violated, blocking, wit) =
-            canonical_capped_sweep(protocol, analysis, opts, &plans[idx]);
-        let mut folded = ps.folded.lock().expect("fold poisoned");
-        let spill = folded.take().expect("plan not folded").spill;
-        *folded = Some(PlanStats { spill, ..redo_stats });
-        ps.violated.store(violated, Ordering::Release);
-        ps.blocking.store(blocking, Ordering::Release);
-        plan_wit[idx] = wit;
-    }
-
-    for w in &plan_wit {
-        oracles.absorb(w);
-    }
-
-    // Assemble the order-independent stats from the per-plan folds.
+    // Assemble the order-independent stats and bitmaps from the plans.
+    let mut oracles = Oracles::new(protocol, analysis, CHECK_TXN);
     let mut stats = ExploreStats { plans: plans.len(), ..ExploreStats::default() };
     let mut spill = SpillStats::default();
-    for ps in &shared.plan_shared {
-        let folded = ps.folded.lock().expect("fold poisoned").take().expect("plan not folded");
-        stats.distinct_states += folded.distinct;
-        stats.actions += folded.edges;
-        stats.fused += folded.fused;
-        stats.truncated |= folded.cut;
-        spill.runs_written += folded.spill.runs_written;
-        spill.bytes_written += folded.spill.bytes_written;
-        spill.merge_passes += folded.spill.merge_passes;
+    for r in &results {
+        oracles.absorb(&r.witnessed);
+        stats.distinct_states += r.stats.distinct;
+        stats.actions += r.stats.edges;
+        stats.fused += r.stats.fused;
+        stats.truncated |= r.stats.cut;
+        spill.runs_written += r.stats.spill.runs_written;
+        spill.bytes_written += r.stats.spill.bytes_written;
+        spill.merge_passes += r.stats.spill.merge_passes;
     }
 
     // Phase 2: canonical witnesses for the least flagged plans.
-    let violation =
-        shared.plan_shared.iter().position(|ps| ps.violated.load(Ordering::Acquire) != 0).map(
-            |idx| {
-                let votes = plans[idx].clone();
-                match canonical_witness(protocol, analysis, opts, &votes, Target::Violation) {
-                    Some((oracle, detail, path)) => (oracle, detail, votes, path),
-                    // Defensive: an uncapped sweep's visited set equals this
-                    // search's, and a capped plan's flags come from the
-                    // canonical redo, whose traversal this search repeats —
-                    // so a flagged plan always yields a witness here.
-                    None => {
-                        let bits = shared.plan_shared[idx].violated.load(Ordering::Acquire);
-                        let oracle = if bits & V_CONSISTENCY != 0 {
-                            "consistency"
-                        } else if bits & V_PREDICTION != 0 {
-                            "prediction"
-                        } else {
-                            "recovery"
-                        };
-                        let detail = "violation observed during a state-cap-truncated \
-                                  exploration; raise --max-states for a replayable witness"
-                            .to_string();
-                        (oracle, detail, votes, Vec::new())
-                    }
-                }
-            },
-        );
-    let blocking_witness =
-        shared.plan_shared.iter().position(|ps| ps.blocking.load(Ordering::Acquire)).and_then(
-            |idx| {
-                let votes = plans[idx].clone();
-                canonical_witness(protocol, analysis, opts, &votes, Target::Blocking)
-                    .map(|(_, _, path)| (votes, path))
-            },
-        );
+    let violation = results.iter().position(|r| r.violated != 0).map(|idx| {
+        let votes = plans[idx].clone();
+        match canonical_witness(protocol, analysis, opts, &votes, Target::Violation) {
+            Some((oracle, detail, path)) => (oracle, detail, votes, path),
+            // Defensive: an uncapped sweep's visited set equals this
+            // search's, and a capped plan's flags come from the serial
+            // rerun, whose traversal this search repeats — so a flagged
+            // plan always yields a witness here.
+            None => {
+                let bits = results[idx].violated;
+                let oracle = if bits & V_CONSISTENCY != 0 {
+                    "consistency"
+                } else if bits & V_PREDICTION != 0 {
+                    "prediction"
+                } else {
+                    "recovery"
+                };
+                let detail = "violation observed during a state-cap-truncated \
+                              exploration; raise --max-states for a replayable witness"
+                    .to_string();
+                (oracle, detail, votes, Vec::new())
+            }
+        }
+    });
+    let blocking_witness = results.iter().position(|r| r.blocking).and_then(|idx| {
+        let votes = plans[idx].clone();
+        canonical_witness(protocol, analysis, opts, &votes, Target::Blocking)
+            .map(|(_, _, path)| (votes, path))
+    });
 
     Exploration { oracles, stats, blocking_witness, violation, spill }
 }

@@ -25,11 +25,12 @@
 //! same protocol and options produce the same report, byte for byte, *at
 //! any thread count and any traversal seed* — the parallel sweep only
 //! flags order-independent facts, concrete witnesses come from a serial
-//! canonical-order search, and a `--max-states`-truncated plan is redone
-//! by that same canonical traversal so even truncated counts are
-//! schedule-independent (see [`explore`]). Setting a
-//! [`mem_budget`](CheckOptions::mem_budget) spills the fingerprint store
-//! to sorted disk runs without changing a byte of the report either.
+//! canonical-order search, and a `--max-states`-truncated plan is swept
+//! again serially and unseeded, in that same canonical order, so even
+//! truncated counts are schedule-independent (see [`explore`]). Setting
+//! a [`mem_budget`](CheckOptions::mem_budget) spills the fingerprint
+//! store to sorted disk runs without changing a byte of the report
+//! either.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

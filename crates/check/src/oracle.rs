@@ -43,7 +43,7 @@ use nbc_storage::Wal;
 /// state `s` in some explored execution (union of the runners' visited
 /// monitors). Kept separate from [`Oracles`] so the parallel explorer can
 /// accumulate one bitmap *per vote plan* and replace a state-cap-truncated
-/// plan's bitmap wholesale with the canonical redo's — the merged union
+/// plan's bitmap wholesale with its serial rerun's — the merged union
 /// stays deterministic even when the sweep's coverage was not.
 #[derive(Default, Clone)]
 pub struct Witnessed(Vec<Vec<bool>>);
@@ -261,7 +261,7 @@ impl<'a> Oracles<'a> {
     }
 
     /// OR a standalone [`Witnessed`] bitmap (a per-plan accumulator from
-    /// the parallel sweep or the canonical redo) into this one.
+    /// the explorer's sweep) into this one.
     pub fn absorb(&mut self, witnessed: &Witnessed) {
         self.witnessed.merge(witnessed);
     }

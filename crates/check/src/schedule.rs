@@ -15,6 +15,7 @@
 use std::fmt;
 
 use nbc_engine::{channel_of, Channel, Runner};
+use nbc_obs::json::{self, Value};
 use nbc_simnet::NetEvent;
 
 /// One scheduler choice.
@@ -287,11 +288,11 @@ impl Schedule {
         let votes: Vec<&str> =
             self.votes.iter().map(|v| if *v { "true" } else { "false" }).collect();
         out.push_str(&format!(
-            "{{\"schedule\":\"nbc-check/v1\",\"protocol\":\"{}\",\"n\":{},\"votes\":[{}],\"rule\":\"{}\"}}\n",
-            escape(&self.protocol),
+            "{{\"schedule\":\"nbc-check/v1\",\"protocol\":{},\"n\":{},\"votes\":[{}],\"rule\":{}}}\n",
+            json::string(&self.protocol),
             self.n,
             votes.join(","),
-            escape(&self.rule),
+            json::string(&self.rule),
         ));
         for s in &self.steps {
             out.push_str(&step_json(s));
@@ -301,22 +302,32 @@ impl Schedule {
     }
 
     /// Parse the JSONL form. Accepts any object-field order; rejects
-    /// unknown step kinds and missing fields with a line-numbered error.
+    /// unknown step kinds, missing fields, negative or non-integer ids, a
+    /// vote plan whose length is not `n`, and site ids outside `0..n`,
+    /// with a line-numbered error — so a parsed schedule never indexes
+    /// past the engine's site table when replayed.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (_, header) = lines.next().ok_or("empty schedule")?;
-        let h = JsonObj::parse(header).map_err(|e| format!("line 1: {e}"))?;
-        if h.str_field("schedule") != Some("nbc-check/v1") {
+        let h = json::parse(header).map_err(|e| format!("line 1: {e}"))?;
+        let text_field = |f: &str| h.get(f).and_then(Value::as_str);
+        if text_field("schedule") != Some("nbc-check/v1") {
             return Err("line 1: not an nbc-check/v1 schedule header".into());
         }
-        let protocol = h.str_field("protocol").ok_or("line 1: missing protocol")?.to_string();
-        let n = h.num_field("n").ok_or("line 1: missing n")? as usize;
-        let votes = h.bool_array("votes").ok_or("line 1: missing votes")?;
-        let rule = h.str_field("rule").ok_or("line 1: missing rule")?.to_string();
+        let protocol = text_field("protocol").ok_or("line 1: missing protocol")?.to_string();
+        let n = uint(&h, "n").map_err(|e| format!("line 1: {e}"))?;
+        let votes = array(&h, "votes", Value::as_bool).ok_or("line 1: missing votes")?;
+        if votes.len() != n {
+            return Err(format!("line 1: votes names {} sites, n is {n}", votes.len()));
+        }
+        let rule = text_field("rule").ok_or("line 1: missing rule")?.to_string();
         let mut steps = Vec::new();
         for (ix, line) in lines {
-            let o = JsonObj::parse(line).map_err(|e| format!("line {}: {e}", ix + 1))?;
-            steps.push(parse_step(&o).map_err(|e| format!("line {}: {e}", ix + 1))?);
+            let step = json::parse(line)
+                .and_then(|o| parse_step(&o))
+                .and_then(|step| check_sites(&step, n).map(|()| step))
+                .map_err(|e| format!("line {}: {e}", ix + 1))?;
+            steps.push(step);
         }
         Ok(Self { protocol, n, votes, rule, steps })
     }
@@ -350,9 +361,9 @@ fn step_json(s: &Step) -> String {
     }
 }
 
-fn parse_step(o: &JsonObj) -> Result<Step, String> {
-    let kind = o.str_field("step").ok_or("missing step kind")?;
-    let num = |f: &str| o.num_field(f).map(|v| v as usize).ok_or(format!("missing {f}"));
+fn parse_step(o: &Value) -> Result<Step, String> {
+    let kind = o.get("step").and_then(Value::as_str).ok_or("missing step kind")?;
+    let num = |f: &str| uint(o, f);
     match kind {
         "deliver" => Ok(Step::Deliver { src: num("src")?, dst: num("dst")? }),
         "drop" => Ok(Step::Drop { src: num("src")?, dst: num("dst")? }),
@@ -367,204 +378,45 @@ fn parse_step(o: &JsonObj) -> Result<Step, String> {
         "crash" => Ok(Step::Crash { site: num("site")? }),
         "recover" => Ok(Step::Recover { site: num("site")? }),
         "partition" => {
-            Ok(Step::Partition { groups: o.num_array("groups").ok_or("missing groups")? })
+            Ok(Step::Partition { groups: array(o, "groups", as_usize).ok_or("missing groups")? })
         }
         "heal" => Ok(Step::Heal),
         other => Err(format!("unknown step kind {other:?}")),
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// A non-negative integer field.
+fn uint(o: &Value, field: &str) -> Result<usize, String> {
+    let v = o.get(field).ok_or(format!("missing {field}"))?;
+    as_usize(v).ok_or(format!("{field} must be a non-negative integer"))
 }
 
-// ----------------------------------------------------------------------
-// A deliberately tiny JSON object reader: flat objects whose values are
-// strings, integers, booleans, or arrays of integers/booleans — exactly
-// the schedule grammar. No dependency, no recursion, positioned errors.
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(i64),
-    Bool(bool),
-    NumArr(Vec<i64>),
-    BoolArr(Vec<bool>),
+fn as_usize(v: &Value) -> Option<usize> {
+    v.as_u64().and_then(|x| usize::try_from(x).ok())
 }
 
-struct JsonObj {
-    fields: Vec<(String, JsonVal)>,
-}
-
-impl JsonObj {
-    fn parse(line: &str) -> Result<Self, String> {
-        let mut p = Parser { bytes: line.trim().as_bytes(), pos: 0 };
-        p.expect(b'{')?;
-        let mut fields = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            return Ok(Self { fields });
-        }
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let val = p.value()?;
-            fields.push((key, val));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(format!("expected ',' or '}}' at byte {}", p.pos)),
-            }
-        }
-        Ok(Self { fields })
-    }
-
-    fn field(&self, name: &str) -> Option<&JsonVal> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(JsonVal::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num_field(&self, name: &str) -> Option<i64> {
-        match self.field(name) {
-            Some(JsonVal::Num(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn num_array(&self, name: &str) -> Option<Vec<usize>> {
-        match self.field(name) {
-            Some(JsonVal::NumArr(v)) => Some(v.iter().map(|&x| x as usize).collect()),
-            _ => None,
-        }
-    }
-
-    fn bool_array(&self, name: &str) -> Option<Vec<bool>> {
-        match self.field(name) {
-            Some(JsonVal::BoolArr(v)) => Some(v.clone()),
-            // [] parses as an empty numeric array; accept it as empty.
-            Some(JsonVal::NumArr(v)) if v.is_empty() => Some(Vec::new()),
-            _ => None,
-        }
+/// An array field whose every element `elem` accepts.
+fn array<T>(o: &Value, field: &str, elem: impl Fn(&Value) -> Option<T>) -> Option<Vec<T>> {
+    match o.get(field)? {
+        Value::Arr(items) => items.iter().map(elem).collect(),
+        _ => None,
     }
 }
 
-struct Parser<'t> {
-    bytes: &'t [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.next() == Some(b) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                },
-                Some(b) => out.push(b as char),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<i64, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or(format!("bad number at byte {start}"))
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(JsonVal::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(JsonVal::Bool(false))
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut nums = Vec::new();
-                let mut bools = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonVal::NumArr(nums));
-                }
-                loop {
-                    self.skip_ws();
-                    match self.value()? {
-                        JsonVal::Num(v) => nums.push(v),
-                        JsonVal::Bool(b) => bools.push(b),
-                        _ => return Err(format!("unsupported array element at byte {}", self.pos)),
-                    }
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => break,
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-                if !bools.is_empty() && nums.is_empty() {
-                    Ok(JsonVal::BoolArr(bools))
-                } else if bools.is_empty() {
-                    Ok(JsonVal::NumArr(nums))
-                } else {
-                    Err("mixed array".into())
-                }
-            }
-            Some(b'0'..=b'9' | b'-') => Ok(JsonVal::Num(self.number()?)),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
+/// Reject a step naming a site outside `0..n`.
+fn check_sites(step: &Step, n: usize) -> Result<(), String> {
+    let ids = match *step {
+        Step::Deliver { src, dst } | Step::Drop { src, dst } => [src, dst],
+        Step::FailNotice { observer, crashed: peer }
+        | Step::RecoveryNotice { observer, recovered: peer }
+        | Step::Suspect { observer, peer }
+        | Step::Unsuspect { observer, peer } => [observer, peer],
+        Step::Crash { site } | Step::Recover { site } => [site, site],
+        Step::Partition { .. } | Step::Heal => return Ok(()),
+    };
+    match ids.into_iter().find(|&id| id >= n) {
+        Some(id) => Err(format!("site {id} out of range for n={n}")),
+        None => Ok(()),
     }
 }
 
@@ -610,6 +462,32 @@ mod tests {
         text.push_str("{\"step\":\"warp\"}\n");
         let err = Schedule::from_jsonl(&text).unwrap_err();
         assert!(err.contains("unknown step kind"), "{err}");
+    }
+
+    #[test]
+    fn parser_rejects_bad_ids_and_vote_plans() {
+        let header = sample().to_jsonl().lines().next().unwrap().to_string();
+        for (step, want) in [
+            ("{\"step\":\"crash\",\"site\":-1}", "non-negative integer"),
+            ("{\"step\":\"crash\",\"site\":1.5}", "non-negative integer"),
+            ("{\"step\":\"recover\",\"site\":3}", "out of range"),
+            ("{\"step\":\"suspect\",\"observer\":0,\"peer\":9}", "out of range"),
+        ] {
+            let err = Schedule::from_jsonl(&format!("{header}\n{step}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: ") && err.contains(want), "{step}: {err}");
+        }
+        let short = header.replace("[true,true,false]", "[true,true]");
+        let err = Schedule::from_jsonl(&short).unwrap_err();
+        assert!(err.contains("votes names 2 sites, n is 3"), "{err}");
+    }
+
+    #[test]
+    fn control_characters_are_escaped_and_round_trip() {
+        let s = Schedule { protocol: "spec\twith\u{1}ctl".into(), ..sample() };
+        let text = s.to_jsonl();
+        assert!(text
+            .starts_with("{\"schedule\":\"nbc-check/v1\",\"protocol\":\"spec\\twith\\u0001ctl\""));
+        assert_eq!(Schedule::from_jsonl(&text).unwrap(), s);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! `nbc simulate --schedule` re-executes.
 
 use nbc_core::{Analysis, Protocol};
-use nbc_engine::{channel_of, Channel, Runner};
+use nbc_engine::{channel_of, Runner};
 
-use crate::explore::{plan_config, CHECK_TXN};
+use crate::explore::{plan_config, step_for, CHECK_TXN};
 use crate::oracle::Oracles;
 use crate::schedule::{apply_step, channel_head, Schedule, Step};
 use crate::CheckOptions;
@@ -37,26 +37,13 @@ pub fn drain(runner: &mut Runner<'_>, record: &mut Vec<Step>) -> bool {
         else {
             return true;
         };
-        let step = head_step(runner, first);
+        let (_, ev) = channel_head(runner, first).expect("channel has a head");
+        let step = step_for(&ev);
         let applied = apply_step(runner, &step).is_ok();
         debug_assert!(applied, "head step of a pending channel must apply");
         record.push(step);
     }
     false
-}
-
-/// The step that delivers the head of `ch`.
-fn head_step(runner: &Runner<'_>, ch: Channel) -> Step {
-    let (_, ev) = channel_head(runner, ch).expect("channel has a head");
-    match ev {
-        nbc_simnet::NetEvent::Deliver { src, dst, .. } => Step::Deliver { src, dst },
-        nbc_simnet::NetEvent::FailureNotice { observer, crashed } => {
-            Step::FailNotice { observer, crashed }
-        }
-        nbc_simnet::NetEvent::RecoveryNotice { observer, recovered } => {
-            Step::RecoveryNotice { observer, recovered }
-        }
-    }
 }
 
 /// Shrink `steps` to a 1-minimal list still satisfying `predicate`, then

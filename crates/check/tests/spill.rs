@@ -88,6 +88,13 @@ fn truncated_runs_are_identical_across_threads_and_seeds() {
         |threads, seed| CheckOptions { max_states: 500, threads, seed, ..CheckOptions::default() };
     let base = run_check(&protocol, opts(1, None)).unwrap();
     assert!(base.stats.truncated, "the cap must actually truncate");
+    // Exact counts, not only agreement between runs: a redo that shifted
+    // the counts the same way at every thread count would still agree.
+    assert_eq!(
+        (base.stats.distinct_states, base.stats.actions, base.stats.fused),
+        (3792, 8255, 1258),
+        "truncated central-3pc counts moved"
+    );
     for threads in [2, 4] {
         let run = run_check(&protocol, opts(threads, None)).unwrap();
         assert_identical(&base, &run, &format!("truncated at {threads} threads"));
@@ -125,4 +132,25 @@ fn truncated_and_budgeted_together_stay_identical() {
     .unwrap();
     assert!(run.spill.runs_written >= 2, "budget must engage: {:?}", run.spill);
     assert_identical(&base, &run, "truncated + 4K budget at 4 threads");
+
+    // A capped blocking protocol: the pinned counts and the witness come
+    // from the serial rerun, budgeted or not.
+    let protocol = central_2pc(3);
+    let capped = |threads, mem_budget| CheckOptions {
+        max_states: 300,
+        threads,
+        mem_budget,
+        ..CheckOptions::default()
+    };
+    let base = run_check(&protocol, capped(1, 0)).unwrap();
+    assert!(base.stats.truncated, "the cap must actually truncate");
+    assert_eq!(
+        (base.stats.distinct_states, base.stats.actions, base.stats.fused),
+        (2400, 5308, 815),
+        "truncated central-2pc counts moved"
+    );
+    let witness = base.blocking_witness.as_ref().expect("2PC blocks even when capped");
+    assert_eq!(witness.steps.len(), 10, "blocking witness length moved");
+    let run = run_check(&protocol, capped(2, 4096)).unwrap();
+    assert_identical(&base, &run, "truncated 2PC + 4K budget at 2 threads");
 }

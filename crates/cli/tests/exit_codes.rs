@@ -220,3 +220,37 @@ fn check_counterexample_writes_flight_dump() {
     assert!(stdout.contains("result: FAIL"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn replay_of_out_of_range_schedule_exits_two() {
+    // Each mutation of a corpus schedule names a site the protocol does
+    // not have (or a vote plan of the wrong length); replay must reject
+    // it as a usage error instead of indexing past the site table.
+    let corpus =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/3pc-suspicion-livelock.jsonl");
+    let text = std::fs::read_to_string(corpus).expect("corpus schedule");
+    let appended = |step: &str| format!("{text}{step}\n");
+    let cases = [
+        ("crash", appended(r#"{"step":"crash","site":7}"#)),
+        ("recover", appended(r#"{"step":"recover","site":7}"#)),
+        ("suspect", appended(r#"{"step":"suspect","observer":1,"peer":9}"#)),
+        ("unsuspect", appended(r#"{"step":"unsuspect","observer":9,"peer":0}"#)),
+        ("votes", text.replacen("[true,true,true]", "[true,true]", 1)),
+        ("negative", appended(r#"{"step":"crash","site":-1}"#)),
+    ];
+    let dir = std::env::temp_dir().join("nbc-exit-replay");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, body) in cases {
+        assert_ne!(body, text, "{name}: mutation must change the schedule");
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, body).unwrap();
+        let out = nbc(&["simulate", "central-3pc", "--schedule", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("error:") && !stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    // The unmutated schedule still replays.
+    let out = nbc(&["simulate", "central-3pc", "--schedule", corpus]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
