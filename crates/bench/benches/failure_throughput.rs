@@ -1,40 +1,23 @@
-//! B4 (timing face): cluster transaction throughput under coordinator
+//! B4 (timing face): serial transaction throughput under coordinator
 //! crashes, 2PC vs 3PC over the bank workload.
 
 use nbc_bench::BenchGroup;
-use nbc_engine::{CrashPoint, CrashSpec, TransitionProgress};
+use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
 use nbc_simnet::SimRng;
-use nbc_txn::{BankWorkload, Cluster, ClusterConfig, ProtocolKind, TxnResult};
+use nbc_txn::{BankWorkload, ProtocolKind};
 
-fn run_batch(kind: ProtocolKind, crash_pct: u32, txns: u32) -> u64 {
+fn run_batch(kind: ProtocolKind, crash_pct: u32, txns: usize) -> u64 {
+    let mut w = BankWorkload::new(3, 12, 1_000, 31);
+    let mut p = Pipeline::new(PipelineConfig::serial(3, kind));
+    assert_eq!(p.run(vec![PipelineTxn::from_ops(&w.setup_ops())]).committed, 1);
     let mut rng = SimRng::seed_from_u64(7);
-    let w0 = BankWorkload::new(3, 12, 1_000, 31);
-    let mut c = Cluster::new(ClusterConfig::new(3, kind));
-    assert_eq!(c.execute(&w0.setup_ops()), TxnResult::Committed);
-    let mut w = w0;
-    for _ in 0..txns {
-        let (f, t, amt) = w.random_transfer();
-        let crashes = if rng.gen_ratio(crash_pct, 100) {
-            vec![CrashSpec {
-                site: 0,
-                point: CrashPoint::OnTransition {
-                    ordinal: 2,
-                    progress: TransitionProgress::AfterMsgs(rng.gen_range(0u32..=2)),
-                },
-                recover_at: None,
-            }]
-        } else {
-            vec![]
-        };
-        let _ = c.transfer_with_crashes(&w, f, t, amt, &crashes);
-    }
-    c.stats.committed
+    p.run(bank_transfer_txns(&mut w, txns, crash_pct, &mut rng)).committed
 }
 
 fn main() {
-    let mut g = BenchGroup::new("cluster_throughput");
+    let mut g = BenchGroup::new("serial_throughput");
     g.sample_size(20);
-    const TXNS: u32 = 50;
+    const TXNS: usize = 50;
     for kind in [ProtocolKind::Central2pc, ProtocolKind::Central3pc] {
         for crash_pct in [0u32, 25] {
             let name = kind.name().replace(' ', "_");

@@ -110,7 +110,7 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "b6",
-            title: "Concurrent commit pipeline with group commit vs the serial cluster",
+            title: "Concurrent commit pipeline with group commit vs one round at a time",
             run: perf::b6_pipeline_group_commit,
         },
         Experiment {

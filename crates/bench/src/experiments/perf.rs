@@ -7,8 +7,9 @@ use nbc_engine::{
     enumerate_crash_specs, run_with, sweep, CrashPoint, CrashSpec, RunConfig, TerminationRule,
     TransitionProgress,
 };
+use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn, ThroughputReport};
 use nbc_simnet::SimRng;
-use nbc_txn::{BankWorkload, Cluster, ClusterConfig, ProtocolKind, TxnResult};
+use nbc_txn::{BankWorkload, ProtocolKind};
 
 use crate::table::Table;
 
@@ -134,9 +135,9 @@ pub fn b3_latency() -> String {
 }
 
 /// B4 — committed-transaction throughput under coordinator crashes, 2PC vs
-/// 3PC over the bank workload. Shape: 3PC keeps terminating (no blocked
-/// transactions, bounded abort rate); 2PC strands transactions whose locks
-/// then poison later conflicting transactions.
+/// 3PC over the bank workload, one round at a time. Shape: 3PC keeps
+/// terminating (no blocked transactions, bounded abort rate); 2PC strands
+/// transactions whose locks then poison later conflicting transactions.
 pub fn b4_throughput_under_failures() -> String {
     let mut t = Table::new([
         "protocol",
@@ -149,41 +150,21 @@ pub fn b4_throughput_under_failures() -> String {
     ]);
     for kind in [ProtocolKind::Central2pc, ProtocolKind::Central3pc] {
         for crash_pct in [0u32, 10, 25, 50] {
+            let (mut p, mut w, _) = serial_bank(kind, 3);
+            let total = 200usize;
             let mut rng = SimRng::seed_from_u64(2024);
-            let w0 = BankWorkload::new(3, 12, 1_000, 31);
-            let mut c = Cluster::new(ClusterConfig::new(3, kind));
-            assert_eq!(c.execute(&w0.setup_ops()), TxnResult::Committed);
-            let mut w = w0.clone();
-            let total = 200u32;
-            for _ in 0..total {
-                let (f, to, amt) = w.random_transfer();
-                let crashes = if rng.gen_ratio(crash_pct, 100) {
-                    vec![CrashSpec {
-                        site: 0,
-                        point: CrashPoint::OnTransition {
-                            ordinal: 2,
-                            progress: TransitionProgress::AfterMsgs(rng.gen_range(0u32..=2)),
-                        },
-                        recover_at: None,
-                    }]
-                } else {
-                    vec![]
-                };
-                let _ = c.transfer_with_crashes(&w, f, to, amt, &crashes);
-            }
-            let stats = c.stats.clone();
+            let r = p.run(bank_transfer_txns(&mut w, total, crash_pct, &mut rng));
             t.row([
                 kind.name().to_string(),
                 format!("{crash_pct}%"),
                 total.to_string(),
-                (stats.committed - 1).to_string(), // minus the setup txn
-                stats.aborted.to_string(),
-                stats.blocked.to_string(),
-                format!("{:.2}", (stats.committed - 1) as f64 / total as f64),
+                r.committed.to_string(),
+                r.aborted.to_string(),
+                r.blocked.to_string(),
+                format!("{:.2}", r.committed as f64 / total as f64),
             ]);
-            c.recover_all();
             assert_eq!(
-                c.total_balance(&w),
+                p.total_balance(&w),
                 w.expected_total(),
                 "{}: conservation after recovery",
                 kind.name()
@@ -199,14 +180,22 @@ pub fn b4_throughput_under_failures() -> String {
     )
 }
 
-/// B6 — concurrent commit pipeline vs the serial cluster: transactions
+/// A serial pipeline over `n` sites whose 12-account bank (seed 31) has
+/// been set up by one committed transaction, plus that setup run's report.
+fn serial_bank(kind: ProtocolKind, n: usize) -> (Pipeline, BankWorkload, ThroughputReport) {
+    let w = BankWorkload::new(n, 12, 1_000, 31);
+    let mut p = Pipeline::new(PipelineConfig::serial(n, kind));
+    let setup = p.run(vec![PipelineTxn::from_ops(&w.setup_ops())]);
+    assert_eq!(setup.committed, 1);
+    (p, w, setup)
+}
+
+/// B6 — concurrent commit pipeline vs one round at a time: transactions
 /// per kilotick at growing in-flight limits, with group-commit savings.
 /// Shape: concurrency multiplies throughput for both protocols (rounds
 /// overlap on the wire), but 2PC's blocked rounds strand locks until the
 /// reaper fires, so its speedup saturates below 3PC's under crashes.
 pub fn b6_pipeline_group_commit() -> String {
-    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
-
     let mut t = Table::new([
         "protocol",
         "crash rate",
@@ -222,53 +211,14 @@ pub fn b6_pipeline_group_commit() -> String {
     let txns = 100usize;
     for kind in [ProtocolKind::Central2pc, ProtocolKind::Central3pc] {
         for crash_pct in [0u32, 25] {
-            // Serial baseline: the pre-pipeline cluster, one round at a
-            // time, a physical force per sync.
             let w = BankWorkload::new(3, 24, 1_000, 31);
             let batch = {
                 let mut rng = SimRng::seed_from_u64(0xB6);
                 bank_transfer_txns(&mut w.clone(), txns, crash_pct, &mut rng)
             };
-            let mut serial = Cluster::new(ClusterConfig::new(3, kind));
-            assert_eq!(serial.execute(&w.setup_ops()), TxnResult::Committed);
-            {
-                let mut rng = SimRng::seed_from_u64(0xB6);
-                let mut wc = w.clone();
-                for _ in 0..txns {
-                    let (f, to, amt) = wc.random_transfer();
-                    let crashes = if crash_pct > 0 && rng.gen_ratio(crash_pct, 100) {
-                        vec![CrashSpec {
-                            site: 0,
-                            point: CrashPoint::OnTransition {
-                                ordinal: 2,
-                                progress: TransitionProgress::AfterMsgs(rng.gen_range(0u32..=2)),
-                            },
-                            recover_at: None,
-                        }]
-                    } else {
-                        vec![]
-                    };
-                    let _ = serial.transfer_with_crashes(&wc, f, to, amt, &crashes);
-                }
-                serial.recover_all();
-                assert_eq!(serial.total_balance(&wc), wc.expected_total());
-            }
-            let serial_ticks = serial.stats.sim_time.max(1);
-            let serial_rate = txns as f64 * 1000.0 / serial_ticks as f64;
-            t.row([
-                kind.name().to_string(),
-                format!("{crash_pct}%"),
-                "serial".to_string(),
-                (serial.stats.committed - 1).to_string(),
-                serial.stats.aborted.to_string(),
-                serial.stats.blocked.to_string(),
-                serial_ticks.to_string(),
-                format!("{serial_rate:.1}"),
-                "1.00x".to_string(),
-                "-".to_string(),
-            ]);
-
-            for in_flight in [4usize, 8] {
+            // Speedups are relative to the in-flight-1 row.
+            let mut serial_ticks = 0;
+            for in_flight in [1usize, 4, 8] {
                 let mut p = Pipeline::new(
                     PipelineConfig::new(3, kind)
                         .with_in_flight(in_flight)
@@ -286,6 +236,9 @@ pub fn b6_pipeline_group_commit() -> String {
                 );
                 assert_eq!(p.locked_keys(), 0);
                 let ticks = (r.finished_at - start).max(1);
+                if in_flight == 1 {
+                    serial_ticks = ticks;
+                }
                 let rate = txns as f64 * 1000.0 / ticks as f64;
                 let speedup = serial_ticks as f64 / ticks as f64;
                 if in_flight == 8 {
@@ -340,40 +293,32 @@ pub fn b8_paxos_resilience() -> String {
         "blocked",
         "goodput",
         "msgs/txn",
-        "ticks/txn",
     ]);
     for f in [0usize, 1, 2] {
         let acceptors = 2 * f + 1;
         for crash_pct in [0u32, 25, 50] {
+            let (mut p, mut w, setup) = serial_bank(ProtocolKind::Paxos { f }, n);
+            let total = 120usize;
             let mut rng = SimRng::seed_from_u64(0xB8 + f as u64);
-            let w0 = BankWorkload::new(n, 12, 1_000, 31);
-            let mut c = Cluster::new(ClusterConfig::new(n, ProtocolKind::Paxos { f }));
-            assert_eq!(c.execute(&w0.setup_ops()), TxnResult::Committed);
-            let mut w = w0.clone();
-            let total = 120u32;
-            for _ in 0..total {
-                let (from, to, amt) = w.random_transfer();
-                let crashes = if rng.gen_ratio(crash_pct, 100) {
+            let mut txns = bank_transfer_txns(&mut w, total, 0, &mut rng);
+            for txn in &mut txns {
+                if rng.gen_ratio(crash_pct, 100) {
                     // One random acceptor dies before relaying its verdict
                     // to the leader — the crash the quorum exists to absorb.
-                    vec![CrashSpec {
+                    txn.crashes = vec![CrashSpec {
                         site: n + rng.gen_range(0..acceptors),
                         point: CrashPoint::OnTransition {
                             ordinal: 1,
                             progress: TransitionProgress::AfterMsgs(0),
                         },
                         recover_at: None,
-                    }]
-                } else {
-                    vec![]
-                };
-                let _ = c.transfer_with_crashes(&w, from, to, amt, &crashes);
+                    }];
+                }
             }
-            let stats = c.stats.clone();
-            let rounds = (total + 1) as f64; // incl. the setup txn
+            let r = p.run(txns);
             if f >= 1 {
                 assert_eq!(
-                    stats.blocked, 0,
+                    r.blocked, 0,
                     "f={f} @ {crash_pct}%: a quorum must absorb one acceptor crash"
                 );
             }
@@ -382,16 +327,15 @@ pub fn b8_paxos_resilience() -> String {
                 acceptors.to_string(),
                 format!("{crash_pct}%"),
                 total.to_string(),
-                (stats.committed - 1).to_string(), // minus the setup txn
-                stats.aborted.to_string(),
-                stats.blocked.to_string(),
-                format!("{:.2}", (stats.committed - 1) as f64 / total as f64),
-                format!("{:.1}", stats.messages as f64 / rounds),
-                format!("{:.1}", stats.sim_time as f64 / rounds),
+                r.committed.to_string(),
+                r.aborted.to_string(),
+                r.blocked.to_string(),
+                format!("{:.2}", r.committed as f64 / total as f64),
+                // Per round, the setup transaction's included.
+                format!("{:.1}", (setup.msgs + r.msgs) as f64 / (total + 1) as f64),
             ]);
-            c.recover_all();
             assert_eq!(
-                c.total_balance(&w),
+                p.total_balance(&w),
                 w.expected_total(),
                 "f={f} @ {crash_pct}%: conservation after recovery"
             );
@@ -467,5 +411,45 @@ mod tests {
             s.lines().any(|l| l.contains("2PC") && !l.contains("0.000") && l.contains("0.")),
             "{s}"
         );
+    }
+
+    /// B4 and B8 run one round at a time through `PipelineConfig::serial`;
+    /// these are the figures the dedicated serial executor it replaced
+    /// printed, cell for cell.
+    #[test]
+    fn b4_and_b8_keep_the_serial_figures() {
+        let b4 = b4_throughput_under_failures();
+        let expected = "\
+central 2PC  0%          200   200        0        0        1.00
+central 2PC  10%         200   79         118      3        0.40
+central 2PC  25%         200   42         151      7        0.21
+central 2PC  50%         200   21         171      8        0.10
+central 3PC  0%          200   200        0        0        1.00
+central 3PC  10%         200   193        7        0        0.96
+central 3PC  25%         200   185        15       0        0.93
+central 3PC  50%         200   165        35       0        0.82
+";
+        assert!(b4.contains(expected), "{b4}");
+
+        // F, crash rate, committed, aborted, blocked, msgs/txn.
+        let expected = [
+            "0 0% 120 0 0 8.0",
+            "0 25% 20 84 16 7.5",
+            "0 50% 11 75 34 6.7",
+            "1 0% 120 0 0 16.0",
+            "1 25% 120 0 0 15.8",
+            "1 50% 120 0 0 15.5",
+            "2 0% 120 0 0 24.0",
+            "2 25% 120 0 0 23.7",
+            "2 50% 120 0 0 23.5",
+        ];
+        let b8 = b8_paxos_resilience();
+        let rows: Vec<String> = b8
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|c| c.len() == 9 && c[2].ends_with('%'))
+            .map(|c| [c[0], c[2], c[4], c[5], c[6], c[8]].join(" "))
+            .collect();
+        assert_eq!(rows, expected, "{b8}");
     }
 }

@@ -5,6 +5,10 @@
 //! *many* distributed transactions in flight, each running its own
 //! 2PC/3PC round over shared sites, logs, and lock tables?
 //!
+//! It is also the repository's one multi-transaction runtime:
+//! [`PipelineConfig::serial`] runs the same scheduler one round at a
+//! time, which is how the failure experiments measure blocking.
+//!
 //! Three mechanisms interact:
 //!
 //! * **Multiplexing** — every round is an independent [`nbc_engine`]

@@ -22,8 +22,8 @@
 //! original id — the classic wait-die restart, which ages it toward
 //! victory. A transaction that dies more than [`PipelineConfig::die_budget`]
 //! times is admitted anyway with a no vote at the contested site, turning
-//! starvation into an ordinary distributed abort (the serial cluster's
-//! behaviour).
+//! starvation into an ordinary distributed abort. With a budget of 0
+//! ([`PipelineConfig::serial`]) every conflict is a no vote at once.
 //!
 //! # Blocked rounds
 //!
@@ -75,9 +75,8 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Defaults matching the serial cluster (latency 1, detection 5) with
-    /// 8-way concurrency, a 2-tick group-commit window, and patient
-    /// reaping.
+    /// Defaults: latency 1, detection delay 5, 8-way concurrency, a
+    /// 2-tick group-commit window, and patient reaping.
     pub fn new(n_sites: usize, kind: ProtocolKind) -> Self {
         Self {
             n_sites,
@@ -89,6 +88,23 @@ impl PipelineConfig {
             reap_after: 200,
             die_budget: 3,
             series_every: 0,
+        }
+    }
+
+    /// One round at a time, the configuration the failure experiments
+    /// (B4, B8) measure: every sync is a physical force, a lock conflict
+    /// is a no vote at once (no waiting, no restarts), and a blocked round
+    /// keeps its locks until the batch ends, when the reaper resolves it
+    /// by the recovery decision. The reap deadline is far past any batch
+    /// but small enough that `done_at + reap_after` never overflows the
+    /// clock, which persists across [`Pipeline::run`] calls.
+    pub fn serial(n_sites: usize, kind: ProtocolKind) -> Self {
+        Self {
+            max_in_flight: 1,
+            group_window: 0,
+            reap_after: 1 << 40,
+            die_budget: 0,
+            ..Self::new(n_sites, kind)
         }
     }
 
@@ -553,9 +569,9 @@ impl Pipeline {
         }))
     }
 
-    /// Post-round bookkeeping, mirroring the serial cluster: apply the
-    /// decision at operational sites, queue crashed sites for catch-up,
-    /// or park the round as blocked with a reap deadline.
+    /// Post-round bookkeeping: apply the decision at operational sites,
+    /// queue crashed sites for catch-up, or park the round as blocked with
+    /// a reap deadline.
     fn finalize(
         &mut self,
         round: Round<'_>,
@@ -859,5 +875,39 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         p.run(bank_transfer_txns(&mut w, 4, 0, &mut rng));
         assert!(p.now() > t0);
+    }
+
+    /// Each site's data WAL alone rebuilds its store: after crashy batches
+    /// (missed decisions caught up, blocked rounds reaped), replaying the
+    /// log through `KvStore::redo_from_log` yields the live committed state.
+    #[test]
+    fn data_wals_replay_to_the_live_stores() {
+        for kind in
+            [ProtocolKind::Central2pc, ProtocolKind::Central3pc, ProtocolKind::Decentralized3pc]
+        {
+            for cfg in [PipelineConfig::serial(3, kind), PipelineConfig::new(3, kind)] {
+                for seed in 0..6u64 {
+                    let mut w = BankWorkload::new(3, 12, 1_000, seed);
+                    let mut p = Pipeline::new(cfg.clone());
+                    p.run(vec![PipelineTxn::from_ops(&w.setup_ops())]);
+                    let mut rng = SimRng::seed_from_u64(seed);
+                    for _ in 0..2 {
+                        let r = p.run(bank_transfer_txns(&mut w, 24, 40, &mut rng));
+                        assert_eq!(r.decided(), 24, "{kind:?} seed {seed}: {r}");
+                        assert_eq!(p.total_balance(&w), w.expected_total(), "{kind:?} seed {seed}");
+                        for site in 0..3 {
+                            let records = Wal::recover(&p.wals[site].full_image())
+                                .expect("pipeline WALs are well-formed");
+                            assert_eq!(
+                                KvStore::redo_from_log(&records).snapshot(),
+                                p.stores[site].snapshot(),
+                                "{kind:?} in-flight {} seed {seed}: site {site} replay",
+                                cfg.max_in_flight
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -92,7 +92,8 @@ impl PipelineTxn {
         self
     }
 
-    /// Convert a cluster-style operation list.
+    /// Convert a workload generator's [`Op`] list (e.g. a setup
+    /// transaction).
     pub fn from_ops(ops: &[Op]) -> Self {
         Self::new(ops.iter().map(PipeOp::from).collect())
     }
@@ -151,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn from_cluster_ops() {
+    fn from_workload_ops() {
         let ops = vec![
             Op::Read { site: 0, key: b"a".to_vec() },
             Op::Write { site: 1, key: b"b".to_vec(), value: b"v".to_vec() },

@@ -72,13 +72,14 @@ impl BankWorkload {
     }
 
     /// Decode a balance (missing value = initial balance not yet
-    /// materialized is *not* supported here; the cluster seeds all keys).
+    /// materialized is *not* supported here; the setup transaction seeds
+    /// all keys).
     pub fn decode(bytes: &[u8]) -> i64 {
         i64::from_le_bytes(bytes.try_into().expect("8-byte balance"))
     }
 
-    /// Seed operations creating every account (one giant setup txn is
-    /// split per site by the cluster).
+    /// Seed operations creating every account, as one setup transaction
+    /// that touches every site.
     pub fn setup_ops(&self) -> Vec<Op> {
         (0..self.n_accounts)
             .map(|a| Op::Write {

@@ -3,60 +3,56 @@
 //!
 //! Accounts are spread over three sites; every transfer debits one site
 //! and credits another, so transaction atomicity *is* conservation of
-//! money. We run the same crash-ridden workload under 2PC and 3PC and
-//! compare what survives.
+//! money. We run the same crash-ridden workload under 2PC and 3PC, one
+//! commit round at a time, and compare what survives.
 //!
 //! ```text
 //! cargo run --example bank_cluster
 //! ```
 
-use nonblocking_commit::nbc_engine::{CrashPoint, CrashSpec, TransitionProgress};
-use nonblocking_commit::nbc_simnet::SimRng;
-use nonblocking_commit::nbc_txn::{BankWorkload, Cluster, ClusterConfig, ProtocolKind, TxnResult};
+use nbc_engine::{CrashPoint, CrashSpec, TransitionProgress};
+use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
+use nbc_simnet::SimRng;
+use nbc_txn::{BankWorkload, ProtocolKind};
 
 fn run(kind: ProtocolKind) {
     let n_sites = 3;
-    let w0 = BankWorkload::new(n_sites, 12, 1_000, 42);
-    let mut cluster = Cluster::new(ClusterConfig::new(n_sites, kind));
-    assert_eq!(cluster.execute(&w0.setup_ops()), TxnResult::Committed);
+    let mut w = BankWorkload::new(n_sites, 12, 1_000, 42);
+    let mut cluster = Pipeline::new(PipelineConfig::serial(n_sites, kind));
+    let setup = cluster.run(vec![PipelineTxn::from_ops(&w.setup_ops())]);
+    assert_eq!(setup.committed, 1);
 
-    let mut w = w0.clone();
     let mut rng = SimRng::seed_from_u64(99);
-    let transfers = 100;
-    for _ in 0..transfers {
-        let (from, to, amount) = w.random_transfer();
+    let mut transfers = bank_transfer_txns(&mut w, 100, 0, &mut rng);
+    for t in &mut transfers {
         // 20% of commit rounds lose the coordinator at a random point of
         // its decision broadcast.
-        let crashes = if rng.gen_bool(0.2) {
-            vec![CrashSpec {
+        if rng.gen_bool(0.2) {
+            t.crashes = vec![CrashSpec {
                 site: 0,
                 point: CrashPoint::OnTransition {
                     ordinal: 2,
                     progress: TransitionProgress::AfterMsgs(rng.gen_range(0u32..=2)),
                 },
                 recover_at: None,
-            }]
-        } else {
-            vec![]
-        };
-        let _ = cluster.transfer_with_crashes(&w, from, to, amount, &crashes);
+            }];
+        }
     }
+    // A blocked round keeps its locks until the batch ends; then recovery
+    // resolves it (adopting a decision durable at the crashed coordinator,
+    // else aborting) and frees them.
+    let r = cluster.run(transfers);
 
     println!("--- {} ---", kind.name());
     println!(
         "  committed: {:>3}   aborted: {:>3}   blocked (locks stranded): {:>3}",
-        cluster.stats.committed - 1, // setup txn
-        cluster.stats.aborted,
-        cluster.stats.blocked,
+        r.committed, r.aborted, r.blocked,
     );
     println!(
-        "  messages: {}   locked keys before recovery: {}",
-        cluster.stats.messages,
-        cluster.locked_keys()
+        "  messages: {}   blocked rounds committed by recovery: {}",
+        setup.msgs + r.msgs,
+        r.reaped_commits
     );
-
-    // Recovery: replay WALs, resolve blocked transactions.
-    cluster.recover_all();
     let total = cluster.total_balance(&w);
     println!(
         "  after recovery: total balance = {} (expected {}) — money {}",
@@ -65,6 +61,7 @@ fn run(kind: ProtocolKind) {
         if total == w.expected_total() { "conserved ✓" } else { "LOST ✗" }
     );
     assert_eq!(total, w.expected_total());
+    assert_eq!(cluster.locked_keys(), 0);
     println!();
 }
 
